@@ -31,6 +31,16 @@ func mustRun(b *testing.B, ctx *exp.Context, spec exp.RunSpec) exp.RunResult {
 	return r
 }
 
+// seeded returns a view of ctx whose runs use seed Scale.Seed+i, so every
+// iteration of a benchmark loop simulates instead of returning the result
+// the context memoized for the previous one. The first iteration keeps the
+// scale's seed, and calibrations, computed on first use, stay shared.
+func seeded(ctx *exp.Context, i int) *exp.Context {
+	c := *ctx
+	c.Scale.Seed += uint64(i)
+	return &c
+}
+
 func mustCalib(b *testing.B, ctx *exp.Context, app string) *exp.AppCalib {
 	b.Helper()
 	cal, err := ctx.Calib(app)
@@ -79,7 +89,7 @@ func benchColo(b *testing.B, mth exp.Method, app string, load int, threads int) 
 	ctx := benchContext(b)
 	var last exp.RunResult
 	for i := 0; i < b.N; i++ {
-		last = mustRun(b, ctx, exp.RunSpec{Method: mth,
+		last = mustRun(b, seeded(ctx, i), exp.RunSpec{Method: mth,
 			LCs: []exp.LCSpec{{App: app, LoadPct: load}},
 			BEs: []exp.BESpec{{App: workload.IBench, Threads: threads}}})
 	}
@@ -114,7 +124,7 @@ func BenchmarkFig03MaxBEThroughput(b *testing.B) {
 	var v float64
 	for i := 0; i < b.N; i++ {
 		var err error
-		v, err = ctx.MaxBEThroughput(exp.MethodPIVOT(),
+		v, err = seeded(ctx, i).MaxBEThroughput(exp.MethodPIVOT(),
 			[]exp.LCSpec{{App: workload.Masstree, LoadPct: 70}}, workload.IBench, 3)
 		if err != nil {
 			b.Fatal(err)
@@ -127,7 +137,7 @@ func BenchmarkFig05CycleSplit(b *testing.B) {
 	ctx := benchContext(b)
 	var split [mem.NumComponents]float64
 	for i := 0; i < b.N; i++ {
-		r := mustRun(b, ctx, exp.RunSpec{Method: exp.MethodDefault(),
+		r := mustRun(b, seeded(ctx, i), exp.RunSpec{Method: exp.MethodDefault(),
 			LCs: []exp.LCSpec{{App: workload.Masstree, LoadPct: 70}},
 			BEs: []exp.BESpec{{App: workload.IBench, Threads: 3}}})
 		split = r.Split
@@ -144,7 +154,7 @@ func BenchmarkFig07LeaveOneOut(b *testing.B) {
 	ctx := benchContext(b)
 	var p95 uint32
 	for i := 0; i < b.N; i++ {
-		r := mustRun(b, ctx, exp.RunSpec{Method: exp.MethodFullPath(),
+		r := mustRun(b, seeded(ctx, i), exp.RunSpec{Method: exp.MethodFullPath(),
 			LCs: []exp.LCSpec{{App: workload.Masstree, LoadPct: 70}},
 			BEs: []exp.BESpec{{App: workload.IBench, Threads: 3}},
 			Opt: machine.Options{DisableMSC: mem.CompMemCtrl}})
@@ -196,7 +206,7 @@ func BenchmarkFig15TwoLCHeatmapCell(b *testing.B) {
 	ctx := benchContext(b)
 	var r exp.RunResult
 	for i := 0; i < b.N; i++ {
-		r = mustRun(b, ctx, exp.RunSpec{Method: exp.MethodPIVOT(),
+		r = mustRun(b, seeded(ctx, i), exp.RunSpec{Method: exp.MethodPIVOT(),
 			LCs: []exp.LCSpec{
 				{App: workload.Xapian, LoadPct: 30},
 				{App: workload.ImgDNN, LoadPct: 30},
@@ -210,7 +220,7 @@ func BenchmarkFig16CloudSuiteBE(b *testing.B) {
 	ctx := benchContext(b)
 	var r exp.RunResult
 	for i := 0; i < b.N; i++ {
-		r = mustRun(b, ctx, exp.RunSpec{Method: exp.MethodPIVOT(),
+		r = mustRun(b, seeded(ctx, i), exp.RunSpec{Method: exp.MethodPIVOT(),
 			LCs: []exp.LCSpec{{App: workload.Xapian, LoadPct: 50}},
 			BEs: []exp.BESpec{{App: workload.DataAn, Threads: 3}}})
 	}
@@ -222,7 +232,7 @@ func BenchmarkFig17TwoBE(b *testing.B) {
 	ctx := benchContext(b)
 	var r exp.RunResult
 	for i := 0; i < b.N; i++ {
-		r = mustRun(b, ctx, exp.RunSpec{Method: exp.MethodPIVOT(),
+		r = mustRun(b, seeded(ctx, i), exp.RunSpec{Method: exp.MethodPIVOT(),
 			LCs: []exp.LCSpec{{App: workload.Silo, LoadPct: 50}},
 			BEs: []exp.BESpec{
 				{App: workload.GraphAn, Threads: 2},
@@ -236,7 +246,7 @@ func BenchmarkFig18TwoLCFrontier(b *testing.B) {
 	ctx := benchContext(b)
 	var r exp.RunResult
 	for i := 0; i < b.N; i++ {
-		r = mustRun(b, ctx, exp.RunSpec{Method: exp.MethodPIVOT(),
+		r = mustRun(b, seeded(ctx, i), exp.RunSpec{Method: exp.MethodPIVOT(),
 			LCs: []exp.LCSpec{
 				{App: workload.Silo, LoadPct: 50},
 				{App: workload.Masstree, LoadPct: 30},
@@ -253,7 +263,7 @@ func BenchmarkFig19ThreeLC(b *testing.B) {
 	ctx := benchContext(b)
 	var r exp.RunResult
 	for i := 0; i < b.N; i++ {
-		r = mustRun(b, ctx, exp.RunSpec{Method: exp.MethodPIVOT(),
+		r = mustRun(b, seeded(ctx, i), exp.RunSpec{Method: exp.MethodPIVOT(),
 			LCs: []exp.LCSpec{
 				{App: workload.Xapian, LoadPct: 30},
 				{App: workload.Masstree, LoadPct: 20},
@@ -282,7 +292,7 @@ func BenchmarkFig21RunAloneIPC(b *testing.B) {
 	ctx := benchContext(b)
 	var r exp.RunResult
 	for i := 0; i < b.N; i++ {
-		r = mustRun(b, ctx, exp.RunSpec{Method: exp.MethodDefault(),
+		r = mustRun(b, seeded(ctx, i), exp.RunSpec{Method: exp.MethodDefault(),
 			LCs: []exp.LCSpec{{App: workload.Masstree, LoadPct: 70}}})
 	}
 	b.ReportMetric(r.LCIPC[0], "lc-ipc")
@@ -295,7 +305,7 @@ func BenchmarkFig22RRBP16Entries(b *testing.B) {
 	cfg.RefreshCycles = machine.ScaledRRBPRefresh
 	var r exp.RunResult
 	for i := 0; i < b.N; i++ {
-		r = mustRun(b, ctx, exp.RunSpec{Method: exp.MethodPIVOT(),
+		r = mustRun(b, seeded(ctx, i), exp.RunSpec{Method: exp.MethodPIVOT(),
 			LCs: []exp.LCSpec{{App: workload.Masstree, LoadPct: 70}},
 			BEs: []exp.BESpec{{App: workload.IBench, Threads: 3}},
 			Opt: machine.Options{RRBP: cfg}})
@@ -309,7 +319,7 @@ func BenchmarkSensitivityRefresh(b *testing.B) {
 	cfg.RefreshCycles = machine.ScaledRRBPRefresh / 2
 	var r exp.RunResult
 	for i := 0; i < b.N; i++ {
-		r = mustRun(b, ctx, exp.RunSpec{Method: exp.MethodPIVOT(),
+		r = mustRun(b, seeded(ctx, i), exp.RunSpec{Method: exp.MethodPIVOT(),
 			LCs: []exp.LCSpec{{App: workload.Masstree, LoadPct: 70}},
 			BEs: []exp.BESpec{{App: workload.IBench, Threads: 3}},
 			Opt: machine.Options{RRBP: cfg}})
@@ -340,7 +350,7 @@ func BenchmarkFig23NeoversePIVOT(b *testing.B) {
 	ctx := neoverseContext(b)
 	var r exp.RunResult
 	for i := 0; i < b.N; i++ {
-		r = mustRun(b, ctx, exp.RunSpec{Method: exp.MethodPIVOT(),
+		r = mustRun(b, seeded(ctx, i), exp.RunSpec{Method: exp.MethodPIVOT(),
 			LCs: []exp.LCSpec{{App: workload.Silo, LoadPct: 50}},
 			BEs: []exp.BESpec{{App: workload.IBench, Threads: 3}}})
 	}
@@ -351,7 +361,7 @@ func BenchmarkFig24NeoverseCloudSuite(b *testing.B) {
 	ctx := neoverseContext(b)
 	var r exp.RunResult
 	for i := 0; i < b.N; i++ {
-		r = mustRun(b, ctx, exp.RunSpec{Method: exp.MethodCLITE(),
+		r = mustRun(b, seeded(ctx, i), exp.RunSpec{Method: exp.MethodCLITE(),
 			LCs: []exp.LCSpec{{App: workload.Xapian, LoadPct: 50}},
 			BEs: []exp.BESpec{{App: workload.DataAn, Threads: 3}}})
 	}
@@ -362,7 +372,7 @@ func BenchmarkFig25NeoverseTwoBE(b *testing.B) {
 	ctx := neoverseContext(b)
 	var r exp.RunResult
 	for i := 0; i < b.N; i++ {
-		r = mustRun(b, ctx, exp.RunSpec{Method: exp.MethodPIVOT(),
+		r = mustRun(b, seeded(ctx, i), exp.RunSpec{Method: exp.MethodPIVOT(),
 			LCs: []exp.LCSpec{{App: workload.Moses, LoadPct: 50}},
 			BEs: []exp.BESpec{
 				{App: workload.GraphAn, Threads: 2},

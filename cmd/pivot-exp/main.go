@@ -53,6 +53,10 @@
 // cached tables are byte-identical to in-process serial runs. -csv-out also
 // writes the unit table as CSV.
 //
+// Within one invocation every co-location run is memoized on its resolved
+// inputs, so a figure repeating another's run reuses its result; the run
+// memo's hit/miss counts go to stderr at exit.
+//
 // Crash safety: -checkpoint-dir makes each co-location run periodically
 // write its full machine state (every -checkpoint-interval cycles) so a
 // killed sweep resumes mid-run, not just mid-sweep; combined with
@@ -336,6 +340,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pivot-exp: result cache: %d hit(s), %d miss(es)\n",
 			cache.Hits(), cache.Misses())
 	}
+	hits, misses := ctx.RunMemoStats()
+	fmt.Fprintf(os.Stderr, "pivot-exp: run memo: %d hit(s), %d miss(es)\n", hits, misses)
 
 	// Emit completed work in sweep order; collect failures.
 	var failed []harness.Result

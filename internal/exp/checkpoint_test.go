@@ -1,7 +1,10 @@
 package exp
 
 import (
+	"fmt"
+	"hash/fnv"
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -63,20 +66,30 @@ func TestCheckpointDirGating(t *testing.T) {
 	ctx := tinyCtx()
 	ctx.CheckpointDir = t.TempDir()
 
-	m := machine.MustNew(ctx.Cfg, machine.Options{Policy: machine.PolicyDefault},
-		[]machine.TaskSpec{{Kind: machine.TaskLC, LC: workload.LCApps()[workload.Silo], MeanInterarrival: 5000, Seed: 1}})
+	tasks := []machine.TaskSpec{{Kind: machine.TaskLC, LC: workload.LCApps()[workload.Silo], MeanInterarrival: 5000, Seed: 1}}
+	in := runInputs{opt: machine.Options{Policy: machine.PolicyDefault}, tasks: tasks,
+		warmup: ctx.Scale.Warmup, measure: ctx.Scale.Measure}
+	m := machine.MustNew(ctx.Cfg, in.opt, tasks)
 
-	if dir := ctx.checkpointDir(m, RunSpec{Method: MethodDefault()}, ctx.Scale.Warmup, ctx.Scale.Measure); dir == "" {
+	if dir := ctx.checkpointDir(m, RunSpec{Method: MethodDefault()}, in); dir == "" {
 		t.Error("plain run denied a checkpoint dir")
 	}
-	if dir := ctx.checkpointDir(m, RunSpec{Method: MethodPARTIES()}, ctx.Scale.Warmup, ctx.Scale.Measure); dir != "" {
+	if dir := ctx.checkpointDir(m, RunSpec{Method: MethodPARTIES()}, in); dir != "" {
 		t.Error("manager run granted a checkpoint dir")
 	}
-	if dir := ctx.checkpointDir(m, RunSpec{Method: MethodDefault(), Faults: &faultinject.Config{}}, ctx.Scale.Warmup, ctx.Scale.Measure); dir != "" {
+	if dir := ctx.checkpointDir(m, RunSpec{Method: MethodDefault(), Faults: &faultinject.Config{}}, in); dir != "" {
 		t.Error("fault-injected run granted a checkpoint dir")
 	}
-	a := ctx.checkpointDir(m, RunSpec{Method: MethodDefault()}, ctx.Scale.Warmup, ctx.Scale.Measure)
-	b := ctx.checkpointDir(m, RunSpec{Method: MethodMBA(40)}, ctx.Scale.Warmup, ctx.Scale.Measure)
+	a := ctx.checkpointDir(m, RunSpec{Method: MethodDefault()}, in)
+	b := ctx.checkpointDir(m, RunSpec{Method: MethodMBA(40)}, in)
+	// Directory names hash the built machine's fingerprint and knobs, so
+	// checkpoints written before a change of key plumbing still resume.
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%016x|%s|%d|%d|%d|%d|%d", m.Fingerprint(), "Default", 0,
+		ctx.Scale.Warmup, ctx.Scale.Measure, 0, 0)
+	if want := filepath.Join(ctx.CheckpointDir, fmt.Sprintf("run-%016x", h.Sum64())); a != want {
+		t.Errorf("checkpoint dir %s, want %s", a, want)
+	}
 	if a == b {
 		t.Error("different methods share a checkpoint dir")
 	}

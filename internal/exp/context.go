@@ -1,9 +1,10 @@
 // Package exp is the experiment harness: one function per figure and table
 // of the paper, each returning a text table with the same rows/series the
 // paper reports. The harness shares a Context that caches the expensive
-// common work — offline profiles and the per-application load-latency
+// common work — offline profiles, the per-application load-latency
 // calibration (Figure 12) from which QoS targets, max loads and expected
-// bandwidths derive.
+// bandwidths derive, BE-alone baselines, and the results of co-location runs
+// themselves, keyed on their resolved machine inputs.
 package exp
 
 import (
@@ -12,6 +13,7 @@ import (
 	"io"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"pivot/internal/flight"
 	"pivot/internal/machine"
@@ -129,14 +131,15 @@ type cell[T any] struct {
 	err  error
 }
 
-// shared is the state every clone of a Context points at: the calibration
-// caches and the most recent instrumented run's artifacts. All fields are
+// shared is the state every clone of a Context over one machine config
+// points at: the calibration caches and the run memo. All fields are
 // goroutine-safe so harness workers can share one Context.
 type shared struct {
 	mu      sync.Mutex
 	calib   map[string]*cell[*AppCalib]
 	pots    map[string]*cell[profile.CriticalSet]
 	beAlone map[string]*cell[float64]
+	runs    map[string]*cell[RunResult]
 
 	// Scenario-registered custom applications, resolved by lcParams/beParams
 	// ahead of the workload catalogue (see RegisterScenarioApps).
@@ -146,11 +149,26 @@ type shared struct {
 
 	logMu sync.Mutex
 
-	// cap is shared with sibling contexts (other machine configs derived via
+	// fam is shared with sibling contexts (other machine configs derived via
 	// ForScenario): the caches above are per-config, but the most recent
-	// instrumented run's artifacts must stay visible from the context the CLI
-	// holds, whichever config actually executed.
-	cap *capture
+	// instrumented run's artifacts and the memo counters must stay visible
+	// from the context the CLI holds, whichever config actually executed.
+	fam *family
+}
+
+// family is the state every context derived from one NewContext shares,
+// whatever its machine config.
+type family struct {
+	cap capture
+
+	// configs holds one cache set per machine config, so every sibling over
+	// the same config shares calibration, potential sets and run results.
+	mu      sync.Mutex
+	configs map[machine.Config]*shared
+
+	// Run memo counters: a miss is a simulation Run executed, a hit a result
+	// it returned from the memo instead.
+	hits, misses atomic.Uint64
 }
 
 // capture holds the most recent instrumented run's artifacts.
@@ -251,19 +269,35 @@ type Context struct {
 
 // NewContext builds a harness context over cfg at the given scale.
 func NewContext(cfg machine.Config, scale Scale) *Context {
-	return &Context{Cfg: cfg, Scale: scale, sh: newShared(&capture{})}
+	fam := &family{configs: make(map[machine.Config]*shared)}
+	return &Context{Cfg: cfg, Scale: scale, sh: fam.sharedFor(cfg)}
 }
 
-// newShared builds the per-config cache state around an existing capture.
-func newShared(cap *capture) *shared {
-	return &shared{
-		calib:    make(map[string]*cell[*AppCalib]),
-		pots:     make(map[string]*cell[profile.CriticalSet]),
-		beAlone:  make(map[string]*cell[float64]),
-		customLC: make(map[string]workload.LCParams),
-		customBE: make(map[string]workload.BEParams),
-		cap:      cap,
+// sharedFor returns the cache state for cfg, creating it on first use.
+func (fam *family) sharedFor(cfg machine.Config) *shared {
+	fam.mu.Lock()
+	defer fam.mu.Unlock()
+	sh, ok := fam.configs[cfg]
+	if !ok {
+		sh = &shared{
+			calib:    make(map[string]*cell[*AppCalib]),
+			pots:     make(map[string]*cell[profile.CriticalSet]),
+			beAlone:  make(map[string]*cell[float64]),
+			runs:     make(map[string]*cell[RunResult]),
+			customLC: make(map[string]workload.LCParams),
+			customBE: make(map[string]workload.BEParams),
+			fam:      fam,
+		}
+		fam.configs[cfg] = sh
 	}
+	return sh
+}
+
+// RunMemoStats reports how many Run calls on this context and every context
+// derived from it were answered from the run memo (hits) and how many
+// executed a simulation (misses).
+func (ctx *Context) RunMemoStats() (hits, misses uint64) {
+	return ctx.sh.fam.hits.Load(), ctx.sh.fam.misses.Load()
 }
 
 // WithRunContext returns a shallow copy of ctx whose simulations are bounded
@@ -415,24 +449,24 @@ func (ctx *Context) BEAloneIPC(app string, threads int) (float64, error) {
 // LastStats returns the stats dump of the most recent instrumented run (nil
 // when StatsEpoch was never set or no co-location run executed).
 func (ctx *Context) LastStats() *stats.Dump {
-	ctx.sh.cap.mu.Lock()
-	defer ctx.sh.cap.mu.Unlock()
-	return ctx.sh.cap.stats
+	ctx.sh.fam.cap.mu.Lock()
+	defer ctx.sh.fam.cap.mu.Unlock()
+	return ctx.sh.fam.cap.stats
 }
 
 // LastTimeline returns the Perfetto timeline of the most recent
 // instrumented run (nil when none exists).
 func (ctx *Context) LastTimeline() *stats.Timeline {
-	ctx.sh.cap.mu.Lock()
-	defer ctx.sh.cap.mu.Unlock()
-	return ctx.sh.cap.timeline
+	ctx.sh.fam.cap.mu.Lock()
+	defer ctx.sh.fam.cap.mu.Unlock()
+	return ctx.sh.fam.cap.timeline
 }
 
 // LastFlight returns the tail-attribution report of the most recent
 // flight-recorded run (nil when FlightTop was never set or no co-location
 // run executed).
 func (ctx *Context) LastFlight() *flight.Report {
-	ctx.sh.cap.mu.Lock()
-	defer ctx.sh.cap.mu.Unlock()
-	return ctx.sh.cap.flight
+	ctx.sh.fam.cap.mu.Lock()
+	defer ctx.sh.fam.cap.mu.Unlock()
+	return ctx.sh.fam.cap.flight
 }

@@ -150,35 +150,16 @@ func (ctx *Context) Fig05() (*metrics.Table, error) {
 
 // runWithSplit runs a spec with the split-statistics filter set.
 func (ctx *Context) runWithSplit(spec RunSpec, filter map[uint64]bool) (RunResult, error) {
-	opt := ctx.guard(spec.Opt)
-	opt.Policy = spec.Method.Policy
-	var tasks []machine.TaskSpec
-	for _, lc := range spec.LCs {
-		cal, err := ctx.Calib(lc.App)
-		if err != nil {
-			return RunResult{}, err
-		}
-		tasks = append(tasks, machine.TaskSpec{
-			Kind: machine.TaskLC, LC: cal.App,
-			MeanInterarrival: cal.MeanIAAt(lc.LoadPct),
-			Potential:        ctx.potentialFor(spec.Method, lc.App),
-			ExpectedBW:       0.9 * cal.AloneBWAt(lc.LoadPct),
-			Seed:             ctx.Scale.Seed,
-		})
+	in, err := ctx.resolve(spec)
+	if err != nil {
+		return RunResult{}, err
 	}
-	for _, be := range spec.BEs {
-		app := ctx.beParams(be.App)
-		for i := 0; i < be.Threads && len(tasks) < ctx.Cfg.Cores; i++ {
-			tasks = append(tasks, machine.TaskSpec{Kind: machine.TaskBE, BE: app,
-				Seed: ctx.Scale.Seed + uint64(10+len(tasks))})
-		}
-	}
-	m, err := machine.New(ctx.Cfg, opt, tasks)
+	m, err := machine.New(ctx.Cfg, in.opt, in.tasks)
 	if err != nil {
 		return RunResult{}, err
 	}
 	m.SetStatsFilter(filter)
-	if err := m.RunChecked(ctx.runContext(), ctx.Scale.Warmup, ctx.Scale.Measure); err != nil {
+	if err := m.RunChecked(ctx.runContext(), in.warmup, in.measure); err != nil {
 		return RunResult{}, err
 	}
 	var res RunResult

@@ -10,14 +10,16 @@ import (
 
 // sibling builds a context over another machine configuration: every knob
 // (scale, robustness, observability, checkpointing, run context) carries
-// over, but the calibration caches start empty — knees shift with the deeper
-// ROB and faster LLC. The capture of the most recent instrumented run is
-// shared, so LastStats/LastTimeline/LastFlight on the original context see
-// runs executed on the sibling.
+// over, and the caches are those of cfg — knees shift with the deeper ROB and
+// faster LLC. Every sibling over one config, reached from any context of the
+// family, shares one set of caches, so figures on the same sibling machine
+// calibrate it once. The capture of the most recent instrumented run is
+// shared too, so LastStats/LastTimeline/LastFlight on the original context
+// see runs executed on the sibling.
 func (ctx *Context) sibling(cfg machine.Config) *Context {
 	out := *ctx
 	out.Cfg = cfg
-	out.sh = newShared(ctx.sh.cap)
+	out.sh = ctx.sh.fam.sharedFor(cfg)
 	return &out
 }
 

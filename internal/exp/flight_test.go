@@ -90,10 +90,12 @@ func TestFlightCheckpointDirKeying(t *testing.T) {
 	plain.CheckpointDir, armed.CheckpointDir = dir, dir
 
 	spec := fig1Spec()
-	m := machine.MustNew(plain.Cfg, machine.Options{Policy: machine.PolicyDefault},
-		[]machine.TaskSpec{{Kind: machine.TaskLC, LC: workload.LCApps()[workload.Silo], MeanInterarrival: 5000, Seed: 1}})
-	a := plain.checkpointDir(m, spec, plain.Scale.Warmup, plain.Scale.Measure)
-	b := armed.checkpointDir(m, spec, armed.Scale.Warmup, armed.Scale.Measure)
+	in := runInputs{opt: machine.Options{Policy: machine.PolicyDefault},
+		tasks:  []machine.TaskSpec{{Kind: machine.TaskLC, LC: workload.LCApps()[workload.Silo], MeanInterarrival: 5000, Seed: 1}},
+		warmup: plain.Scale.Warmup, measure: plain.Scale.Measure}
+	m := machine.MustNew(plain.Cfg, in.opt, in.tasks)
+	a := plain.checkpointDir(m, spec, in)
+	b := armed.checkpointDir(m, spec, in)
 	if a == "" || b == "" {
 		t.Fatal("checkpointing denied for a plain run")
 	}

@@ -26,6 +26,9 @@ func TestFigureTablesGoldenQuick(t *testing.T) {
 	} {
 		id := id
 		t.Run(id, func(t *testing.T) {
+			// Figures share calibrations and run results through ctx's
+			// once-cells, so their order cannot change a byte.
+			t.Parallel()
 			want, err := os.ReadFile(filepath.Join("testdata", "golden_quick_"+id+".txt"))
 			if err != nil {
 				t.Fatal(err)

@@ -1,10 +1,12 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"path/filepath"
 	"runtime/debug"
+	"slices"
 
 	"pivot/internal/checkpoint"
 	"pivot/internal/faultinject"
@@ -119,7 +121,23 @@ type RunResult struct {
 // deadline, cycle budget), and any panic escaping the simulator, which is
 // recovered into a *machine.PanicError carrying the goroutine stack and a
 // diagnostic snapshot of the machine at the moment it died.
-func (ctx *Context) Run(spec RunSpec) (res RunResult, err error) {
+//
+// Results are memoized on the run's resolved inputs (see runKey), so asking
+// again for a run that this context, a clone of it or a sibling over the
+// same machine config already ran costs a map lookup. Runs that produce
+// artifacts beyond their result — stats, flight records, checkpoints,
+// injected faults — always simulate. The steps of a max-BE or MBA search
+// are memoized apart from direct calls (see step), so the first Run of a
+// spec simulates even when a search already passed through it.
+func (ctx *Context) Run(spec RunSpec) (RunResult, error) { return ctx.run(spec, false) }
+
+// step runs one step of a search (RunBestMBA, MaxBEThroughput). A repeated
+// search is answered from the memo step by step, but its entries never
+// answer a direct Run: timing a Run, as perfbench does for the Fig-14
+// cells, must time a simulation and not a lookup.
+func (ctx *Context) step(spec RunSpec) (RunResult, error) { return ctx.run(spec, true) }
+
+func (ctx *Context) run(spec RunSpec, step bool) (res RunResult, err error) {
 	var m *machine.Machine
 	defer func() {
 		if p := recover(); p != nil {
@@ -131,18 +149,46 @@ func (ctx *Context) Run(spec RunSpec) (res RunResult, err error) {
 		}
 	}()
 
-	opt := ctx.guard(spec.Opt)
-	opt.Policy = spec.Method.Policy
-	if ctx.StatsEpoch > 0 && opt.SampleRequests == 0 {
+	in, err := ctx.resolve(spec)
+	if err != nil {
+		return RunResult{}, err
+	}
+	simulate := func() (RunResult, error) { return ctx.simulate(spec, in, &m) }
+	if ctx.StatsEpoch > 0 || ctx.FlightTop > 0 || ctx.CheckpointDir != "" ||
+		spec.Faults != nil || spec.FaultPlan != nil {
+		ctx.sh.fam.misses.Add(1)
+		return simulate()
+	}
+	key := ctx.runKey(spec, in)
+	if step {
+		key = "step|" + key
+	}
+	return ctx.memoRun(key, simulate)
+}
+
+// runInputs are a spec's resolved machine inputs: everything its result
+// depends on besides the Context's config and scale.
+type runInputs struct {
+	opt             machine.Options
+	tasks           []machine.TaskSpec
+	targets         []uint32 // per LC task; 0 = no knee-derived target
+	warmup, measure sim.Cycle
+}
+
+// resolve turns a spec into machine inputs: calibrated arrival rates,
+// expected bandwidths and QoS targets, potential sets, seeds and run windows.
+func (ctx *Context) resolve(spec RunSpec) (runInputs, error) {
+	in := runInputs{opt: ctx.guard(spec.Opt)}
+	in.opt.Policy = spec.Method.Policy
+	if ctx.StatsEpoch > 0 && in.opt.SampleRequests == 0 {
 		// Recording request lifecycles is purely observational; it feeds the
 		// timeline exporter without touching any simulated decision.
-		opt.SampleRequests = 128
+		in.opt.SampleRequests = 128
 	}
 
-	seed, warmup, measure := ctx.runWindows(spec)
+	var seed uint64
+	seed, in.warmup, in.measure = ctx.runWindows(spec)
 
-	var tasks []machine.TaskSpec
-	var targets []uint32
 	for _, lc := range spec.LCs {
 		ts := machine.TaskSpec{
 			Kind:      machine.TaskLC,
@@ -155,11 +201,11 @@ func (ctx *Context) Run(spec RunSpec) (res RunResult, err error) {
 			ts.LC = ctx.lcParams(lc.App)
 			ts.MeanInterarrival = lc.Interarrival
 			ts.ExpectedBW = lc.ExpectedBW
-			targets = append(targets, 0)
+			in.targets = append(in.targets, 0)
 		} else {
-			cal, cerr := ctx.Calib(lc.App)
-			if cerr != nil {
-				return RunResult{}, cerr
+			cal, err := ctx.Calib(lc.App)
+			if err != nil {
+				return runInputs{}, err
 			}
 			ts.LC = cal.App
 			ts.MeanInterarrival = cal.MeanIAAt(lc.LoadPct)
@@ -167,24 +213,31 @@ func (ctx *Context) Run(spec RunSpec) (res RunResult, err error) {
 			if lc.ExpectedBW > 0 {
 				ts.ExpectedBW = lc.ExpectedBW
 			}
-			targets = append(targets, cal.QoSTarget)
+			in.targets = append(in.targets, cal.QoSTarget)
 		}
-		tasks = append(tasks, ts)
+		in.tasks = append(in.tasks, ts)
 	}
 	for _, be := range spec.BEs {
 		app := ctx.beParams(be.App)
-		for i := 0; i < be.Threads && len(tasks) < ctx.Cfg.Cores; i++ {
-			tasks = append(tasks, machine.TaskSpec{
+		for i := 0; i < be.Threads && len(in.tasks) < ctx.Cfg.Cores; i++ {
+			in.tasks = append(in.tasks, machine.TaskSpec{
 				Kind: machine.TaskBE, BE: app,
-				Seed: seed + uint64(10+len(tasks)),
+				Seed: seed + uint64(10+len(in.tasks)),
 			})
 		}
 	}
+	return in, nil
+}
 
-	m, err = machine.New(ctx.Cfg, opt, tasks)
+// simulate builds the machine for resolved inputs, runs it and summarises
+// the result, publishing the machine through mp for panic diagnostics.
+func (ctx *Context) simulate(spec RunSpec, in runInputs, mp **machine.Machine) (RunResult, error) {
+	m, err := machine.New(ctx.Cfg, in.opt, in.tasks)
 	if err != nil {
 		return RunResult{}, err
 	}
+	*mp = m
+	warmup, measure := in.warmup, in.measure
 	if ctx.StatsEpoch > 0 {
 		m.EnableStats(ctx.StatsEpoch, 0)
 	}
@@ -196,7 +249,7 @@ func (ctx *Context) Run(spec RunSpec) (res RunResult, err error) {
 		ctx.Progress.SetGoal(uint64(warmup + measure))
 	}
 	if spec.Method.Policy == machine.PolicyMBA && spec.Method.MBALevel > 0 {
-		for i, t := range tasks {
+		for i, t := range in.tasks {
 			if t.Kind == machine.TaskBE {
 				m.MBA().SetLevel(mem.PartID(i), spec.Method.MBALevel)
 			}
@@ -212,11 +265,11 @@ func (ctx *Context) Run(spec RunSpec) (res RunResult, err error) {
 	rc := ctx.runContext()
 	switch spec.Method.Manager {
 	case "PARTIES":
-		err = manager.RunChecked(rc, manager.NewPARTIES(targets), m, warmup, measure, ctx.Scale.Epoch)
+		err = manager.RunChecked(rc, manager.NewPARTIES(in.targets), m, warmup, measure, ctx.Scale.Epoch)
 	case "CLITE":
-		err = manager.RunChecked(rc, manager.NewCLITE(targets), m, warmup, measure, ctx.Scale.Epoch)
+		err = manager.RunChecked(rc, manager.NewCLITE(in.targets), m, warmup, measure, ctx.Scale.Epoch)
 	default:
-		if dir := ctx.checkpointDir(m, spec, warmup, measure); dir != "" {
+		if dir := ctx.checkpointDir(m, spec, in); dir != "" {
 			var resumed sim.Cycle
 			resumed, err = m.RunCheckpointed(rc, warmup, measure,
 				machine.CheckpointConfig{Dir: dir, Interval: ctx.CheckpointInterval})
@@ -239,13 +292,13 @@ func (ctx *Context) Run(spec RunSpec) (res RunResult, err error) {
 		return RunResult{}, err
 	}
 
-	res = RunResult{AllQoS: true}
+	res := RunResult{AllQoS: true}
 	for i := range spec.LCs {
 		src := m.LCTasks()[i].Source
 		lat := src.Latencies()
 		qs := metrics.Quantiles(lat, 50, 95, 99) // one sort for all three
 		p95 := qs[1]
-		target := targets[i]
+		target := in.targets[i]
 		// An open-loop source whose backlog keeps growing has saturated even
 		// if too few requests completed to show it in p95 yet. A zero target
 		// (explicit-interarrival task) has no latency bound to violate.
@@ -267,6 +320,58 @@ func (ctx *Context) Run(spec RunSpec) (res RunResult, err error) {
 	ctx.captureStats(m, spec)
 	ctx.captureFlight(m, spec)
 	return res, nil
+}
+
+// errRunAborted marks a memo cell whose run panicked before storing a result.
+var errRunAborted = errors.New("exp: memoized run aborted")
+
+// memoRun returns the memoized result for key, calling simulate on the first
+// request; concurrent requests for the same key wait for that one run. A
+// failed run is forgotten rather than cached — a deadline or a recovered
+// panic says nothing about the next attempt — and a caller that was waiting
+// on it runs the simulation itself. Every caller gets its own copy of the
+// result's slices, so mutating one cannot change the memo.
+func (ctx *Context) memoRun(key string, simulate func() (RunResult, error)) (RunResult, error) {
+	sh := ctx.sh
+	for {
+		c := lookup(sh, sh.runs, key)
+		ran := false
+		c.once.Do(func() {
+			ran = true
+			sh.fam.misses.Add(1)
+			c.err = errRunAborted // kept if simulate panics
+			defer func() {
+				if c.err != nil {
+					sh.mu.Lock()
+					delete(sh.runs, key)
+					sh.mu.Unlock()
+				}
+			}()
+			c.v, c.err = simulate()
+		})
+		switch {
+		case c.err == nil:
+			if !ran {
+				sh.fam.hits.Add(1)
+			}
+			return c.v.clone(), nil
+		case ran:
+			return RunResult{}, c.err
+		}
+		// The run this caller waited on failed and was forgotten: look the
+		// key up again, simulating here unless another caller already is.
+	}
+}
+
+// clone returns r with its per-LC slices copied (nil stays nil).
+func (r RunResult) clone() RunResult {
+	r.P50 = slices.Clone(r.P50)
+	r.P95 = slices.Clone(r.P95)
+	r.P99 = slices.Clone(r.P99)
+	r.QoSMet = slices.Clone(r.QoSMet)
+	r.MeanLat = slices.Clone(r.MeanLat)
+	r.LCIPC = slices.Clone(r.LCIPC)
+	return r
 }
 
 // runWindows resolves a spec's effective seed and run windows: the spec's
@@ -293,7 +398,7 @@ func (ctx *Context) captureStats(m *machine.Machine, spec RunSpec) {
 		return
 	}
 	d := m.StatsDump()
-	cap := ctx.sh.cap
+	cap := &ctx.sh.fam.cap
 	cap.mu.Lock()
 	defer cap.mu.Unlock()
 	cap.stats = &d
@@ -322,7 +427,7 @@ func (ctx *Context) captureFlight(m *machine.Machine, spec RunSpec) {
 	}
 	rep := m.FlightReport()
 	rep.Source = specLabel(spec)
-	cap := ctx.sh.cap
+	cap := &ctx.sh.fam.cap
 	cap.mu.Lock()
 	defer cap.mu.Unlock()
 	cap.flight = rep
@@ -333,15 +438,36 @@ func (ctx *Context) captureFlight(m *machine.Machine, spec RunSpec) {
 	}
 }
 
+// runIdentity names a run by its machine fingerprint together with the
+// post-construction knobs (method name, static MBA level), the run lengths
+// and the flight settings — a recorder snapshot only restores into a
+// recorder with the same TopK/SampleCap, so runs with different flight
+// settings must not share checkpoints.
+func (ctx *Context) runIdentity(spec RunSpec, in runInputs) string {
+	return fmt.Sprintf("%016x|%s|%d|%d|%d|%d|%d", machine.FingerprintOf(ctx.Cfg, in.opt, in.tasks),
+		spec.Method.Name, spec.Method.MBALevel, in.warmup, in.measure, ctx.FlightTop, ctx.FlightSample)
+}
+
+// runKey is a run's memo key: its identity plus everything else the result
+// depends on that the fingerprint leaves out — the manager and its epoch,
+// the QoS targets the result is judged against, and the engine and guard
+// settings (a watchdog or audit can fail a run; Dense and Parallel are keyed
+// so the dense ≡ skip-ahead check always compares two real simulations).
+func (ctx *Context) runKey(spec RunSpec, in runInputs) string {
+	o := in.opt
+	return fmt.Sprintf("%s|%s|%d|%v|%t|%d|%t|%d|%d|%d", ctx.runIdentity(spec, in),
+		spec.Method.Manager, ctx.Scale.Epoch, in.targets,
+		o.Dense, o.Parallel, o.Audit, o.AuditEpoch, o.WatchdogWindow, o.MaxCycles)
+}
+
 // checkpointDir derives the per-run checkpoint subdirectory for a spec, or
 // "" when checkpointing is off or the run cannot be checkpointed (manager
 // runs mutate allocation state between epochs from outside the machine;
 // fault-injected runs hold injector state the snapshot does not cover). The
-// name hashes the machine fingerprint together with the post-construction
-// knobs (method name, static MBA level) and the run lengths, so an identical
-// re-invocation resumes its own checkpoints and different specs never
-// collide — even when several harness workers checkpoint concurrently.
-func (ctx *Context) checkpointDir(m *machine.Machine, spec RunSpec, warmup, measure sim.Cycle) string {
+// name hashes the run's identity, so an identical re-invocation resumes its
+// own checkpoints and different specs never collide — even when several
+// harness workers checkpoint concurrently.
+func (ctx *Context) checkpointDir(m *machine.Machine, spec RunSpec, in runInputs) string {
 	if ctx.CheckpointDir == "" || spec.Method.Manager != "" || spec.Faults != nil || spec.FaultPlan != nil {
 		return ""
 	}
@@ -349,11 +475,7 @@ func (ctx *Context) checkpointDir(m *machine.Machine, spec RunSpec, warmup, meas
 		return ""
 	}
 	h := fnv.New64a()
-	// Flight config is part of the key: a recorder snapshot only restores into
-	// a recorder with the same TopK/SampleCap, so runs with different flight
-	// settings must not share checkpoints.
-	fmt.Fprintf(h, "%016x|%s|%d|%d|%d|%d|%d", m.Fingerprint(), spec.Method.Name,
-		spec.Method.MBALevel, warmup, measure, ctx.FlightTop, ctx.FlightSample)
+	h.Write([]byte(ctx.runIdentity(spec, in)))
 	return filepath.Join(ctx.CheckpointDir, fmt.Sprintf("run-%016x", h.Sum64()))
 }
 
@@ -378,7 +500,7 @@ func (ctx *Context) RunBestMBA(lcs []LCSpec, bes []BESpec) (RunResult, int, erro
 	var last RunResult
 	lastLvl := mbaLevels[len(mbaLevels)-1]
 	for _, lvl := range mbaLevels {
-		r, err := ctx.Run(RunSpec{Method: MethodMBA(lvl), LCs: lcs, BEs: bes})
+		r, err := ctx.step(RunSpec{Method: MethodMBA(lvl), LCs: lcs, BEs: bes})
 		if err != nil {
 			return RunResult{}, 0, err
 		}
@@ -406,7 +528,7 @@ func (ctx *Context) MaxBEThroughput(mth Method, lcs []LCSpec, beApp string, norm
 		if len(lcs)+n > ctx.Cfg.Cores {
 			continue
 		}
-		r, err := ctx.Run(RunSpec{Method: mth, LCs: lcs, BEs: []BESpec{{App: beApp, Threads: n}}})
+		r, err := ctx.step(RunSpec{Method: mth, LCs: lcs, BEs: []BESpec{{App: beApp, Threads: n}}})
 		if err != nil {
 			return 0, err
 		}

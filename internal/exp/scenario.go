@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"pivot/internal/faultinject"
 	"pivot/internal/machine"
@@ -102,9 +101,11 @@ func ConfigFor(m scenario.Machine, defaultCores int) machine.Config {
 
 // ForScenario returns the context a scenario runs on: ctx itself when the
 // scenario keeps ctx's machine, otherwise a sibling context over the
-// requested configuration (sharing scale, robustness settings and run
-// context, recalibrating from scratch). Either way the scenario's inline
-// custom applications become resolvable by name on the returned context.
+// requested configuration. A sibling shares ctx's scale, robustness settings
+// and run context, and the caches of every other sibling over the same
+// configuration, so that machine is calibrated once however many figures or
+// units run on it. Either way the scenario's inline custom applications
+// become resolvable by name on the returned context.
 func (ctx *Context) ForScenario(sc *scenario.Scenario) *Context {
 	out := ctx
 	if cfg := ConfigFor(sc.Machine, ctx.Cfg.Cores); cfg != ctx.Cfg {
@@ -263,25 +264,19 @@ func (ctx *Context) SpecForUnit(u scenario.RunUnit) (RunSpec, error) {
 }
 
 // UnitResolver returns a function resolving the context each run unit of a
-// scenario executes on. Most units keep the scenario's machine and share one
-// context, but a machine-parameter sweep axis (machine.cores, machine.be_ways)
-// gives different units different configurations — those get sibling
-// contexts, memoised per configuration so units with the same machine share
-// calibration caches. The resolver is safe for concurrent harness workers;
-// each resolved context has the unit's inline custom apps registered.
+// scenario executes on. Most units keep the scenario's machine, but a
+// machine-parameter sweep axis (machine.cores, machine.be_ways) gives
+// different units different configurations — those run on sibling contexts,
+// which share calibration caches and run results per configuration. The
+// resolver is safe for concurrent harness workers; each resolved context has
+// the unit's inline custom apps registered.
 func (ctx *Context) UnitResolver() func(scenario.RunUnit) *Context {
-	memo := map[machine.Config]*Context{ctx.Cfg: ctx}
-	var mu sync.Mutex
 	return func(u scenario.RunUnit) *Context {
 		sc := u.Scenario
-		cfg := ConfigFor(sc.Machine, ctx.Cfg.Cores)
-		mu.Lock()
-		out, ok := memo[cfg]
-		if !ok {
+		out := ctx
+		if cfg := ConfigFor(sc.Machine, ctx.Cfg.Cores); cfg != ctx.Cfg {
 			out = ctx.sibling(cfg)
-			memo[cfg] = out
 		}
-		mu.Unlock()
 		out.RegisterScenarioApps(sc)
 		return out
 	}

@@ -117,13 +117,19 @@ type MachineState struct {
 // — so a checkpoint is only ever restored into a machine built from the same
 // inputs. CustomStream values are opaque (only their presence is hashed), but
 // custom-stream machines refuse to snapshot anyway.
-func (m *Machine) Fingerprint() uint64 {
+func (m *Machine) Fingerprint() uint64 { return FingerprintOf(m.Cfg, m.Opt, m.tasks) }
+
+// FingerprintOf is the fingerprint New(cfg, opt, tasks) would give its
+// machine, computed without building one. Options are normalized first, so
+// zero-valued defaults hash like their explicit values.
+func FingerprintOf(cfg Config, opt Options, tasks []TaskSpec) uint64 {
+	opt, _ = opt.normalize(cfg)
 	h := fnv.New64a()
 	fmt.Fprintf(h, "cfg:%+v|policy:%d|rrbp:%+v|cbp:%+v|msc:%d|prof:%t|ebw:%g|nsg:%t|samp:%d|pf:%t|pfcfg:%+v",
-		m.Cfg, m.Opt.Policy, m.Opt.RRBP, m.Opt.CBP, m.Opt.DisableMSC,
-		m.Opt.Profile, m.Opt.ExpectedLCBW, m.Opt.NoStarvationGuard,
-		m.Opt.SampleRequests, m.Opt.Prefetch, m.Opt.PrefetchCfg)
-	for _, t := range m.tasks {
+		cfg, opt.Policy, opt.RRBP, opt.CBP, opt.DisableMSC,
+		opt.Profile, opt.ExpectedLCBW, opt.NoStarvationGuard,
+		opt.SampleRequests, opt.Prefetch, opt.PrefetchCfg)
+	for _, t := range tasks {
 		// Maps format with sorted keys, so Potential hashes deterministically.
 		// Load is a pure value (slices of values, no pointers or maps), so
 		// %+v formats it deterministically too; including it keys checkpoint
