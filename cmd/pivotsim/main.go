@@ -78,7 +78,7 @@ func main() {
 	sample := flag.Int("sample", 0, "print the memory-path cycle split of the first N LC requests")
 	statsOut := flag.String("stats-out", "", "write the run's stats dump here (JSON; CSV with a .csv suffix)")
 	statsEpoch := flag.Uint64("stats-epoch", 0, "stats sampling period in cycles (0 = default)")
-	statsTable := flag.Bool("stats-table", false, "print the stats registry as an aligned table after the run")
+	statsTable := flag.Bool("stats-table", false, "print the stats registry, then the engine's per-slot tick counts, as aligned tables after the run")
 	timelineOut := flag.String("timeline-out", "", "write a Chrome trace-event timeline here (open in Perfetto)")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/pprof and /debug/metrics on this address")
 	ckptDir := flag.String("checkpoint-dir", "", "checkpoint the run here; an identical rerun resumes mid-simulation")
@@ -330,6 +330,7 @@ func exportStats(m *pivot.Machine, statsOut, timelineOut string, table bool, pol
 	}
 	if table {
 		fmt.Println(d.Table("stats registry (measured region)").String())
+		fmt.Println(m.EngineTable().String())
 	}
 	return nil
 }

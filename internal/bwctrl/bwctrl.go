@@ -61,6 +61,11 @@ type Controller struct {
 
 	windowStart sim.Cycle
 	windowsDone uint64
+
+	// classGen counts changes to class, so consumers that cache decisions
+	// made on ClassOf can tell when to drop them. Derived state: it is only
+	// ever compared for equality, so it is never serialised.
+	classGen uint64
 }
 
 // New wires a controller that forwards into down.
@@ -110,6 +115,11 @@ func (c *Controller) ClassOf(p mem.PartID) Class {
 	}
 	return ClassMedium
 }
+
+// ClassGeneration reports a counter that changes whenever any partition's
+// MPAM class may have changed (a window rollover that moved a class, or a
+// restore).
+func (c *Controller) ClassGeneration() uint64 { return c.classGen }
 
 func (c *Controller) classify(r *mem.Req) int {
 	if !c.MPAMEnabled {
@@ -204,6 +214,7 @@ func (c *Controller) rollWindow() {
 	if peak <= 0 {
 		peak = 1
 	}
+	prev := c.class
 	for p := range c.counted {
 		u := float64(c.counted[p]) / peak
 		c.usage[p] = u
@@ -219,5 +230,8 @@ func (c *Controller) rollWindow() {
 		default:
 			c.class[p] = ClassMedium
 		}
+	}
+	if c.class != prev {
+		c.classGen++
 	}
 }

@@ -39,6 +39,7 @@ func (c *Controller) RestoreState(s ControllerState) {
 	c.counted = s.Counted
 	c.usage = s.Usage
 	c.class = s.Class
+	c.classGen++
 	c.windowStart = s.WindowStart
 	c.windowsDone = s.WindowsDone
 }

@@ -112,6 +112,12 @@ type Controller struct {
 	// ordered ahead of BE traffic inside the normal queue (§IV-D).
 	Classify func(r *mem.Req) int
 
+	// ClassGen, when non-nil, reports a counter that changes whenever any
+	// class Classify returns may have changed. The idle forecast is only
+	// trusted while it holds the value it had when the forecast was made:
+	// a class flip can reorder claims and picks with no timing event.
+	ClassGen func() uint64
+
 	busFreeAt []sim.Cycle // per channel
 
 	// Respond is invoked when a request's data has returned to the core side
@@ -163,6 +169,21 @@ type Controller struct {
 	// Any other mutation (serve, refresh, restore, priority accept) discards
 	// memo and list.
 	pendClaimN []int32
+
+	// quietAt is one past the cycle of the last Tick, when that Tick moved no
+	// line, and 0 otherwise; idleGen is the ClassGen value at that Tick.
+	// idleUntil caches forecast(quietAt-1) once NextWork has asked for it (0
+	// until then), so dense runs, and saturated runs whose next Accept comes
+	// before the next poll, never pay for a forecast. Accept and RestoreState
+	// zero quietAt. Derived state: never serialised.
+	quietAt   sim.Cycle
+	idleUntil sim.Cycle
+	idleGen   uint64
+
+	// spikedUntil is at or after every queued request's ready cycle, so
+	// forecast scans for injected latency spikes only while one may still be
+	// elapsing (a saturated queue is long). Derived state, rebuilt on restore.
+	spikedUntil sim.Cycle
 
 	Stats Stats
 }
@@ -276,6 +297,8 @@ func (c *Controller) Accept(r *mem.Req, now sim.Cycle) bool {
 	}
 	bank, row := c.decode(r.Addr)
 	e := entry{req: r, enq: now, bank: bank, row: row, ready: ready}
+	c.quietAt = 0
+	c.spikedUntil = max(c.spikedUntil, ready)
 	r.Enter(mem.CompMemCtrl, now)
 	if usePrio {
 		c.prio = append(c.prio, e)
@@ -600,8 +623,12 @@ func (c *Controller) maybeRefresh(now sim.Cycle) {
 }
 
 // Tick advances the controller one cycle: deliver due responses, start row
-// activates, and, when the data bus is free, move one request's line.
+// activates, and, when the data bus is free, move one request's line. A Tick
+// that moves no line leaves the idle forecast NextWork reports.
 func (c *Controller) Tick(now sim.Cycle) {
+	c.quietAt = 0
+	served := c.Stats.Served
+
 	// Deliver responses whose return latency elapsed.
 	for c.respHead <= now {
 		r := c.pendingResp.PopHead().req
@@ -674,41 +701,105 @@ func (c *Controller) Tick(now sim.Cycle) {
 		}
 		c.pendingResp.Push(respEntry{req: e.req, due: done + c.cfg.RespLatency})
 	}
+
+	// Deliveries, refresh and activations all land before pick runs, and
+	// pick saw their result: re-running this Tick on the state it leaves
+	// would change nothing. A serve does not: removing an entry can hand its
+	// bank to a claimant startActivates has not seen yet.
+	if c.Fault != nil || c.Stats.Served != served {
+		return
+	}
+	c.quietAt, c.idleUntil = now+1, 0
+	if c.ClassGen != nil {
+		c.idleGen = c.ClassGen()
+	}
 }
 
-// NextWork implements sim.IdleReporter. The controller is quiescent when
-// both request queues are empty, every channel's data bus is free (a busy
-// bus accrues BusyCycles each Tick), no response is due, and no fault
-// injector could hold a grant; it then sleeps until the earlier of the next
-// response delivery and the next refresh deadline. The `claimed` scratch
-// slab an idle Tick would have zeroed carries no state (it is rebuilt every
-// tick and never serialised), so eliding it is unobservable.
-func (c *Controller) NextWork(now sim.Cycle) (sim.Cycle, bool) {
-	if c.Fault != nil || len(c.normal) > 0 || len(c.prio) > 0 {
-		return 0, false
+// forecast returns the earliest cycle after now at which a Tick could do
+// work, given that Tick(now) served nothing and no Accept, restore or class
+// change intervenes. The activation scan is idempotent — each bank's first
+// claimant is fixed by queue order, and once it has activated its row a
+// re-run finds the row open — so with the queues, banks and classes frozen,
+// a Tick's outcome depends on the clock only through these thresholds: a
+// response falling due, the refresh deadline, and, while a request is
+// queued, the queue head crossing the starvation guard, a data bus freeing
+// (pick), a bank finishing its activate or precharge (claim and rowOpenFor),
+// and a queued request's injected latency spike elapsing. Before the
+// earliest of them every Tick delivers, refreshes, activates and serves
+// nothing, so it changes nothing but BusyCycles. (The activation memo may
+// expire in between, but the full scan it then runs is a no-op by the same
+// argument, and the memo is exact either way.)
+func (c *Controller) forecast(now sim.Cycle) sim.Cycle {
+	next := c.respHead
+	if c.cfg.RefreshInterval > 0 && c.nextRefresh < next {
+		next = c.nextRefresh // maybeRefresh has initialised it (> now)
+	}
+	if len(c.normal)+len(c.prio) == 0 {
+		return next
+	}
+	if c.cfg.MaxWait > 0 && len(c.normal) > 0 {
+		next = soonest(next, c.normal[0].enq+c.cfg.MaxWait+1, now)
 	}
 	for _, free := range c.busFreeAt {
-		if free > now {
-			return 0, false
+		next = soonest(next, free, now)
+	}
+	// Every bank, not just those with a request queued: a bank still
+	// activating or precharging has its claimant queued (or shares the
+	// refresh deadline), and a spare threshold only wakes the controller
+	// early, which is always safe.
+	for i := range c.banks {
+		next = soonest(next, c.banks[i].readyAt, now)
+	}
+	if c.spikedUntil > now {
+		for _, q := range [2][]entry{c.prio, c.normal} {
+			for i := range q {
+				next = soonest(next, q[i].ready, now)
+			}
 		}
 	}
-	next := c.respHead
-	if next <= now {
+	return next
+}
+
+// soonest returns t if it lies after now and before next, else next.
+func soonest(next, t, now sim.Cycle) sim.Cycle {
+	if t > now && t < next {
+		return t
+	}
+	return next
+}
+
+// SkipCycles implements sim.Skipper: to-from idle Ticks change nothing but
+// the data-bus busy count, one per cycle each busy channel stays busy.
+func (c *Controller) SkipCycles(from, to sim.Cycle) {
+	for _, free := range c.busFreeAt {
+		if free > from {
+			c.Stats.BusyCycles += uint64(min(free, to) - from)
+		}
+	}
+}
+
+// NextWork implements sim.IdleReporter. The controller is idle while the
+// forecast of its last Tick stands: that Tick moved no line, nothing has
+// been accepted or restored since, the classes Classify reads are
+// unchanged, and the forecast cycle has not arrived. Idle Ticks still count
+// data-bus busy cycles, which SkipCycles adds back. The `claimed` scratch
+// slab an idle Tick would have rebuilt carries no state, so eliding it is
+// unobservable. A fault injector can hold or perturb any grant, so it keeps
+// the controller busy.
+func (c *Controller) NextWork(now sim.Cycle) (sim.Cycle, bool) {
+	if c.Fault != nil || c.quietAt == 0 {
 		return 0, false
 	}
-	if c.cfg.RefreshInterval > 0 {
-		nr := c.nextRefresh
-		if nr == 0 {
-			nr = c.cfg.RefreshInterval // matches maybeRefresh's lazy init
-		}
-		if nr <= now {
-			return 0, false
-		}
-		if nr < next {
-			next = nr
-		}
+	if c.ClassGen != nil && c.ClassGen() != c.idleGen {
+		return 0, false
 	}
-	return next, true
+	if c.idleUntil == 0 {
+		c.idleUntil = c.forecast(c.quietAt - 1)
+	}
+	if c.idleUntil <= now {
+		return 0, false
+	}
+	return c.idleUntil, true
 }
 
 // RegisterStats registers the controller's instruments under prefix (e.g.

@@ -103,4 +103,11 @@ func (c *Controller) RestoreState(s ControllerState) {
 	c.nextRefresh = s.NextRefresh
 	c.Stats = s.Stats
 	c.invalidateAct() // derived memo; rebuild from the restored queues
+	c.quietAt = 0
+	c.spikedUntil = 0
+	for _, q := range [2][]entry{c.prio, c.normal} {
+		for _, e := range q {
+			c.spikedUntil = max(c.spikedUntil, e.ready)
+		}
+	}
 }

@@ -170,6 +170,9 @@ type Machine struct {
 	Cores  []*cpu.Core
 	ports  []*corePort
 
+	// slotNames names the engine's tickers in registration order.
+	slotNames []string
+
 	llc *cache.Cache
 	ic  *interconnect.Station
 	bus *interconnect.Station
@@ -339,19 +342,25 @@ func New(cfg Config, opt Options, tasks []TaskSpec) (*Machine, error) {
 	// Components are registered as concrete values (not TickFunc closures) so
 	// the engine can discover their IdleReporter/Skipper sides and the hot
 	// loop dispatches through a single interface call per component.
-	m.Engine.Register(m.mc)
-	m.Engine.Register(m.bw)
-	m.Engine.Register(m.bus)
-	m.Engine.Register(m.ic)
-	m.Engine.Register(&auxTicker{m: m})
-	for _, c := range m.Cores {
-		m.Engine.Register(c)
+	m.register("dram", m.mc)
+	m.register("bwctrl", m.bw)
+	m.register("bus", m.bus)
+	m.register("ic", m.ic)
+	m.register("aux", &auxTicker{m: m})
+	for i, c := range m.Cores {
+		m.register(fmt.Sprintf("cpu%d", i), c)
 	}
 	m.Engine.SetDense(opt.Dense)
 	if opt.Parallel > 0 && !opt.Dense {
 		m.buildParallel(opt.Parallel)
 	}
 	return m, nil
+}
+
+// register appends t to the engine's tick order under name.
+func (m *Machine) register(name string, t sim.Ticker) {
+	m.Engine.Register(t)
+	m.slotNames = append(m.slotNames, name)
 }
 
 // MustNew is New panicking on error, for tests and examples.
@@ -426,6 +435,7 @@ func (m *Machine) applyPolicy() {
 		m.ic.Classify = rank
 		m.bus.Classify = rank
 		m.mc.Classify = rank
+		m.mc.ClassGen = m.bw.ClassGeneration
 	}
 
 	// LLC partitioning: every policy except Default reserves the LLC for LC

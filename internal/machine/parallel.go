@@ -302,9 +302,11 @@ func (pr *parRuntime) PlanWindow(from, limit, earliestIssue sim.Cycle) sim.Cycle
 // The loop is written against the concrete component types in tick order
 // (mc, bw, bus, ic, aux) rather than a []coordSlot of interfaces: the poll
 // runs every simulated cycle and the devirtualised calls inline, which is
-// worth several percent of total runtime under saturated mixes. Of the five
-// slots only the aux ticker elides work that needs compensation (the
-// throttle's per-held-port Delayed count), so it alone gets SkipCycles.
+// worth several percent of total runtime under saturated mixes. Two of the
+// five slots elide work that needs compensation — the memory controller (the
+// data-bus busy count an idle Tick still bumps while it waits out DRAM
+// timing) and the aux ticker (the throttle's per-held-port Delayed count) —
+// so every cycle either slot does not tick gets its SkipCycles.
 //
 // An idle verdict is cached instead of re-polled every cycle: NextWork is a
 // pure function of component state and the clock, monotone in the clock while
@@ -357,7 +359,10 @@ func (pr *parRuntime) RunCoordWindow(from, to sim.Cycle) sim.Cycle {
 				ticked |= dMC
 			} else {
 				mcN = next
+				m.mc.SkipCycles(now, now+1)
 			}
+		} else {
+			m.mc.SkipCycles(now, now+1)
 		}
 		if dirty&dBW != 0 || now >= bwN {
 			next, idle, worked := m.bw.TickNext(now)
@@ -432,6 +437,7 @@ func (pr *parRuntime) RunCoordWindow(from, to sim.Cycle) sim.Cycle {
 			t = pr.winEnd
 		}
 		if t > now {
+			m.mc.SkipCycles(now, t)
 			m.auxSkip(now, t)
 			now = t
 		}

@@ -153,6 +153,13 @@ func TestSkipAheadEquivalenceIdleHeavy(t *testing.T) {
 		t.Errorf("idle-heavy parallel stats differ: p95 %d vs %d, idle %d vs %d",
 			p.LCp95(0), d.LCp95(0), p.Cores[0].Stats.IdleCycles, d.Cores[0].Stats.IdleCycles)
 	}
+	// The memory controller's idle forecast lets the engine sleep through
+	// activate, CAS and burst waits: a handful of ticks per line moved, not
+	// one per cycle of each wait (~28 per line here without it).
+	ticks, _ := s.Engine.SlotTicks()
+	if s.slotNames[0] != "dram" || ticks[0] > 8*s.mc.Stats.Served {
+		t.Errorf("slot %s ticked %d times for %d lines served", s.slotNames[0], ticks[0], s.mc.Stats.Served)
+	}
 }
 
 // TestSkipAheadEquivalenceKillResume proves crash-safety under skip-ahead: a

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pivot/internal/mem"
+	"pivot/internal/metrics"
 	"pivot/internal/sim"
 	"pivot/internal/stats"
 )
@@ -80,7 +81,28 @@ func (m *Machine) EnableStats(epochCycles sim.Cycle, ringCap int) {
 	// Registered after every component, so each sample sees the cycle's
 	// final state. The ticker reports its next epoch boundary so skip-ahead
 	// never jumps over a sample point.
-	m.Engine.Register(&samplerTicker{m: m, epoch: epochCycles})
+	m.register("sampler", &samplerTicker{m: m, epoch: epochCycles})
+}
+
+// EngineTable renders the engine's per-slot tick counts over every cycle
+// this machine stepped, warm-up included: how many cycles each slot was
+// ticked and how many skip-ahead elided. It is kept apart from StatsDump,
+// which dense and skip-ahead runs must reproduce byte for byte.
+func (m *Machine) EngineTable() *metrics.Table {
+	ticks, stepped := m.Engine.SlotTicks()
+	title := fmt.Sprintf("engine (%d cycles stepped)", stepped)
+	if m.par != nil {
+		title += "; sharded windows are not counted"
+	}
+	t := &metrics.Table{Title: title, Headers: []string{"slot", "ticked", "skipped", "ticked %"}}
+	for i, n := range ticks {
+		pct := 0.0
+		if stepped > 0 {
+			pct = 100 * float64(n) / float64(stepped)
+		}
+		t.AddRow(m.slotNames[i], fmt.Sprint(n), fmt.Sprint(stepped-n), fmt.Sprintf("%.1f", pct))
+	}
+	return t
 }
 
 // samplerTicker drives the epoch sampler and bounds engine skips to epoch

@@ -61,6 +61,9 @@ type tickerSlot struct {
 	tick Ticker
 	idle IdleReporter // nil: always ticked densely (pins the engine dense)
 	skip Skipper      // nil: no per-cycle compensation needed
+
+	// ticks counts the Ticks the skip-ahead loop executed on this slot.
+	ticks uint64
 }
 
 // Engine drives a set of Tickers through simulated time.
@@ -75,6 +78,12 @@ type Engine struct {
 	now   Cycle
 	slots []tickerSlot
 	dense bool
+
+	// stepped counts the cycles Step advanced in any mode; denseTicks the
+	// share the dense loop stepped, ticking every slot on each (SlotTicks
+	// adds it to every slot's own count).
+	stepped    uint64
+	denseTicks uint64
 
 	// plan, when set, switches Step to sharded windowed execution (see
 	// parallel.go). Dense mode overrides it.
@@ -110,7 +119,9 @@ func (e *Engine) Now() Cycle { return e.now }
 // without skip-ahead.
 func (e *Engine) Step(n Cycle) {
 	end := e.now + n
+	e.stepped += uint64(n)
 	if e.dense {
+		e.denseTicks += uint64(n)
 		for e.now < end {
 			for i := range e.slots {
 				e.slots[i].tick.Tick(e.now)
@@ -136,12 +147,14 @@ func (e *Engine) Step(n Cycle) {
 			s := &e.slots[i]
 			if s.idle == nil {
 				s.tick.Tick(e.now)
+				s.ticks++
 				allIdle = false
 				continue
 			}
 			next, idle := s.idle.NextWork(e.now)
 			if !idle || next <= e.now {
 				s.tick.Tick(e.now)
+				s.ticks++
 				allIdle = false
 				continue
 			}
@@ -172,6 +185,22 @@ func (e *Engine) Step(n Cycle) {
 			e.now = to
 		}
 	}
+}
+
+// SlotTicks reports, per registered ticker in registration order, how many
+// cycles it was actually ticked — every cycle in dense mode, only its busy
+// ones under skip-ahead — together with the number of cycles Step advanced;
+// the difference is what skip-ahead elided. Both count this engine's own
+// steps only (not the cycles a restored snapshot starts at), and the ticks
+// of cycles the sharded engine stepped are not counted. The counts are
+// engine-mode specific by design, so they belong in no output that dense and
+// skip-ahead runs must share.
+func (e *Engine) SlotTicks() (ticks []uint64, stepped uint64) {
+	ticks = make([]uint64, len(e.slots))
+	for i := range e.slots {
+		ticks[i] = e.slots[i].ticks + e.denseTicks
+	}
+	return ticks, e.stepped
 }
 
 // RunUntil advances simulated time until stop returns true, checking every

@@ -82,6 +82,31 @@ func TestSkipCompensationCoversEveryCycle(t *testing.T) {
 	}
 }
 
+// TestSlotTicksCountExecutedTicks: under skip-ahead each slot's count is the
+// cycles it was really ticked; in dense mode every slot ticks every stepped
+// cycle. Counting allocates nothing on either path.
+func TestSlotTicksCountExecutedTicks(t *testing.T) {
+	for _, dense := range []bool{false, true} {
+		a := &probe{wake: 100}
+		b := &probe{wake: 250}
+		e := NewEngine()
+		e.SetDense(dense)
+		e.Register(a)
+		e.Register(b)
+		e.Step(300)
+		ticks, stepped := e.SlotTicks()
+		if stepped != 300 || ticks[0] != uint64(len(a.ticks)) || ticks[1] != uint64(len(b.ticks)) {
+			t.Fatalf("dense=%v: SlotTicks = %v, %d; probes ticked %d, %d of 300",
+				dense, ticks, stepped, len(a.ticks), len(b.ticks))
+		}
+		a.ticks, b.ticks = make([]Cycle, 0, 2000), make([]Cycle, 0, 2000)
+		a.skips, b.skips = make([][2]Cycle, 0, 2000), make([][2]Cycle, 0, 2000)
+		if allocs := testing.AllocsPerRun(10, func() { e.Step(100) }); allocs != 0 {
+			t.Fatalf("dense=%v: Step allocates %.1f objects/op, want 0", dense, allocs)
+		}
+	}
+}
+
 // TestStepNeverOvershoots: a bulk jump is clamped to the Step window even
 // when the earliest reported work lies far beyond it, so absolute boundaries
 // (checkpoint intervals, audit epochs, cycle budgets) are always honoured.
